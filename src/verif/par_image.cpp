@@ -130,8 +130,9 @@ bdd::Bdd ParallelImage::image(const bdd::Bdd& from) {
   }
 
   // Deterministic merge on the main manager, ascending shard order. The
-  // result is the canonical union — identical to the serial image — and
-  // the fixed order keeps allocation patterns reproducible.
+  // result is the canonical union — the serial image before it subtracts
+  // the reached set — and the fixed order keeps allocation patterns
+  // reproducible.
   bdd::Bdd img = main.zero();
   for (auto& w : workers_) {
     img = img | main.copy_across(w->partial, w->from_worker);

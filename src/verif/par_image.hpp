@@ -14,8 +14,9 @@
 //
 // Determinism: BDD canonicity makes the merged image independent of merge
 // structure — equal functions have equal handles per manager, so the union
-// of the partial images is the same canonical BDD the serial `image`
-// computes, in the same manager, whatever the thread count. The merge
+// of the partial images, minus the reached set, is the same canonical BDD
+// the serial `image` computes, in the same manager, whatever the thread
+// count. The merge
 // still runs in ascending shard order so node allocation (and therefore
 // arena layout, GC timing and obs counters) is reproducible run to run.
 //
@@ -52,8 +53,9 @@ class ParallelImage {
   ParallelImage& operator=(const ParallelImage&) = delete;
 
   /// Forward image of `from` (a BDD on the main manager) under the whole
-  /// partitioned relation, returned on the main manager. Equal to
-  /// `verif::image(tr, from)` as a function — and therefore as a handle.
+  /// partitioned relation, returned on the main manager. Minus any `reached`
+  /// set it equals `verif::image(tr, from, reached)` as a function — and
+  /// therefore as a handle.
   bdd::Bdd image(const bdd::Bdd& from);
 
   /// Collects any worker manager whose unique table exceeds `threshold`

@@ -138,8 +138,10 @@ ReachResult reachable_states(const TransitionSystem& tr,
       }
     }
   }
+  // New states only: the image minus everything reached so far.
   const auto step_image = [&](const bdd::Bdd& from) {
-    return par != nullptr ? par->image(from) : image(tr, from);
+    return par != nullptr ? par->image(from) & !result.reached
+                          : image(tr, from, result.reached);
   };
   const auto stop_unconverged = [&result]() {
     result.stats.exact = false;
@@ -175,8 +177,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
     if (options.degrade_on_budget) {
       bool recovered = false;
       try {
-        const bdd::Bdd img = step_image(frontier);
-        frontier = img & !result.reached;
+        frontier = step_image(frontier);
         result.reached = result.reached | frontier;
       } catch (const Cancelled&) {
         if (gov != nullptr)
@@ -219,8 +220,7 @@ ReachResult reachable_states(const TransitionSystem& tr,
       }
       if (recovered) continue;
     } else {
-      const bdd::Bdd img = step_image(frontier);
-      frontier = img & !result.reached;
+      frontier = step_image(frontier);
       result.reached = result.reached | frontier;
     }
     if (options.keep_layers && !frontier.is_zero())

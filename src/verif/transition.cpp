@@ -207,11 +207,23 @@ bdd::Bdd image_one(const TransitionSystem& tr, const Cluster& cluster,
   return mgr.rename(img, cluster.rename_map);
 }
 
-bdd::Bdd image(const TransitionSystem& tr, const bdd::Bdd& from) {
+bdd::Bdd image(const TransitionSystem& tr, const bdd::Bdd& from,
+               const bdd::Bdd& reached) {
   bdd::BddManager& mgr = tr.enc->manager();
-  bdd::Bdd img = mgr.zero();
-  for (const Cluster& c : tr.clusters) img = img | image_one(tr, c, from);
-  return img;
+  const bdd::Bdd unreached = !reached;
+  std::vector<bdd::Bdd> parts;
+  parts.reserve(tr.clusters.size());
+  for (const Cluster& c : tr.clusters)
+    parts.push_back(image_one(tr, c, from) & unreached);
+  // Balanced pairwise union: (0,1), (2,3), ... per round until one is left.
+  while (parts.size() > 1) {
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < parts.size(); i += 2)
+      parts[out++] =
+          i + 1 < parts.size() ? parts[i] | parts[i + 1] : parts[i];
+    parts.resize(out);
+  }
+  return parts.empty() ? mgr.zero() : parts.front();
 }
 
 }  // namespace polis::verif

@@ -78,7 +78,14 @@ int register_next_to_present(bdd::BddManager& mgr,
 bdd::Bdd image_one(const TransitionSystem& tr, const Cluster& cluster,
                    const bdd::Bdd& from);
 
-/// Forward image under the whole partitioned relation (union of clusters).
-bdd::Bdd image(const TransitionSystem& tr, const bdd::Bdd& from);
+/// The states in the forward image of `from` under the whole partitioned
+/// relation that are not yet in `reached`: each cluster's partial image is
+/// conjoined with `!reached` first, then the parts are OR-ed pairwise in
+/// cluster order as a balanced tree. Canonicity makes the result the same
+/// handle as the left-fold union of every `image_one` minus `reached`; the
+/// subtraction keeps each part small and the tree keeps every union between
+/// operands of similar size (see DESIGN.md §7).
+bdd::Bdd image(const TransitionSystem& tr, const bdd::Bdd& from,
+               const bdd::Bdd& reached);
 
 }  // namespace polis::verif

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -113,7 +115,7 @@ void expect_symbolic_matches_explicit(const cfsm::Network& net) {
   EXPECT_DOUBLE_EQ(layered, reach.stats.reached_states);
 }
 
-TEST(Reachability, MatchesExplicitEnumerationOnBlinker) {
+std::shared_ptr<cfsm::Network> blinker_network() {
   const frontend::ParsedFile file =
       frontend::parse("module blink {\n"
                       "  input tick;\n"
@@ -123,7 +125,11 @@ TEST(Reachability, MatchesExplicitEnumerationOnBlinker) {
                       "  when present(tick) && on == 1 -> { on := 0; emit led(0); }\n"
                       "}\n"
                       "network blinker { instance b : blink; }\n");
-  expect_symbolic_matches_explicit(*file.networks.at("blinker"));
+  return file.networks.at("blinker");
+}
+
+TEST(Reachability, MatchesExplicitEnumerationOnBlinker) {
+  expect_symbolic_matches_explicit(*blinker_network());
 }
 
 TEST(Reachability, MatchesExplicitEnumerationOnMeter) {
@@ -175,6 +181,86 @@ TEST(Reachability, GcChurnLeavesReachedSetIdentical) {
         churn_mgr.sat_count(churn.layers[i], churn_enc.num_present_vars()),
         calm_mgr.sat_count(calm.layers[i], calm_enc.num_present_vars()))
         << "layer " << i;
+}
+
+// --- the serial image step ---------------------------------------------------
+
+// At every BFS layer the step (subtract per cluster, pairwise union) is the
+// same handle as the left-fold union of every cluster's image minus the
+// reached set — canonicity makes the schedule invisible.
+TEST(ImageStep, EqualsLeftFoldMinusReachedAtEveryLayer) {
+  const std::vector<std::shared_ptr<cfsm::Network>> nets = {
+      blinker_network(), systems::meter_network(),
+      systems::dash_core_network(), systems::microwave_network(),
+      systems::generated_dash_network(2)};
+  for (const auto& net : nets) {
+    BddManager mgr;
+    verif::NetworkEncoding enc(*net, mgr);
+    verif::TransitionSystem tr = verif::build_transition_system(enc);
+    const verif::ReachResult reach = verif::reachable_states(tr);
+    ASSERT_FALSE(reach.layers.empty()) << net->name();
+    Bdd reached = mgr.zero();
+    for (size_t k = 0; k < reach.layers.size(); ++k) {
+      const Bdd& layer = reach.layers[k];
+      reached = reached | layer;
+      Bdd fold = mgr.zero();
+      for (const verif::Cluster& c : tr.clusters)
+        fold = fold | verif::image_one(tr, c, layer);
+      const Bdd step = verif::image(tr, layer, reached);
+      EXPECT_EQ(step, fold & !reached) << net->name() << " layer " << k;
+      EXPECT_EQ(step, k + 1 < reach.layers.size() ? reach.layers[k + 1]
+                                                  : mgr.zero())
+          << net->name() << " layer " << k;
+    }
+    EXPECT_EQ(reached, reach.reached) << net->name();
+  }
+}
+
+TEST(ImageStep, NoClustersGiveTheEmptyImage) {
+  const auto net = systems::meter_network();
+  BddManager mgr;
+  verif::NetworkEncoding enc(*net, mgr);
+  verif::TransitionSystem empty;
+  empty.enc = &enc;
+  const Bdd init = enc.initial_set();
+  EXPECT_EQ(verif::image(empty, init, mgr.zero()), mgr.zero());
+  EXPECT_EQ(verif::image(empty, init, init), mgr.zero());
+}
+
+// Both fixpoint branches call the one step: a degrade-mode run whose
+// governor never trips walks exactly the default run's layers.
+TEST(ImageStep, DegradeBranchWalksTheDefaultLayers) {
+  const auto net = systems::dash_core_network();
+  BddManager mgr;
+  verif::NetworkEncoding enc(*net, mgr);
+  verif::TransitionSystem tr = verif::build_transition_system(enc);
+  const verif::ReachResult plain = verif::reachable_states(tr);
+  verif::ReachOptions degrade;
+  degrade.degrade_on_budget = true;
+  const verif::ReachResult degraded = verif::reachable_states(tr, degrade);
+  EXPECT_EQ(degraded.stats.budget_recoveries, 0);
+  EXPECT_TRUE(degraded.stats.exact);
+  EXPECT_TRUE(degraded.stats.converged);
+  EXPECT_EQ(degraded.stats.iterations, plain.stats.iterations);
+  ASSERT_EQ(degraded.layers.size(), plain.layers.size());
+  for (size_t k = 0; k < plain.layers.size(); ++k)
+    EXPECT_EQ(degraded.layers[k], plain.layers[k]) << "layer " << k;
+  EXPECT_EQ(degraded.reached, plain.reached);
+}
+
+// Work-counter guard: the subtract-then-pairwise step creates ~710K nodes on
+// the two-channel generated dash; the left fold it replaced created ~1.24M.
+// The counter is deterministic, so a return of the linear fold trips this.
+TEST(ImageStep, TwoChannelDashStaysUnderNodeCreationBudget) {
+  const auto net = systems::generated_dash_network(2);
+  BddManager mgr;
+  verif::NetworkEncoding enc(*net, mgr);
+  verif::TransitionSystem tr = verif::build_transition_system(enc);
+  const std::uint64_t before = mgr.stats().nodes_created;
+  const verif::ReachResult reach = verif::reachable_states(tr);
+  const std::uint64_t created = mgr.stats().nodes_created - before;
+  EXPECT_TRUE(reach.stats.exact);
+  EXPECT_LE(created, 800000u);
 }
 
 // --- frontend assert clause -------------------------------------------------
