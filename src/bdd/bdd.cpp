@@ -792,6 +792,9 @@ int BddManager::register_rename(
     check_var(to);
     map[static_cast<size_t>(from)] = to;
   }
+  const auto it = std::find(rename_maps_.begin(), rename_maps_.end(), map);
+  if (it != rename_maps_.end())
+    return static_cast<int>(it - rename_maps_.begin());
   rename_maps_.push_back(std::move(map));
   return static_cast<int>(rename_maps_.size()) - 1;
 }
@@ -809,21 +812,21 @@ std::uint32_t BddManager::rename_rec(std::uint32_t f,
   const Node n = nodes_[idx_of(f)];  // copy: recursion below may grow nodes_
   const std::uint32_t hi = rename_rec(n.hi, map, map_id);
   const std::uint32_t lo = rename_rec(n.lo, map, map_id);
-  const int v = map[n.var];
-  const int lvl = perm_[static_cast<size_t>(v)];
-  if ((is_term(hi) || level(hi) > lvl) && (is_term(lo) || level(lo) > lvl)) {
-    // The target variable sits above both renamed children: a pure relabel,
-    // one hash-cons per node. This is the hot path for next→present in the
-    // interleaved reachability encoding.
-    r = find_or_add(static_cast<std::uint32_t>(v), lo, hi);
-  } else {
-    // General case (the map moves a variable under another): rebuild with
-    // ITE on the target variable, as in CUDD's permute.
-    r = ite_rec(find_or_add(static_cast<std::uint32_t>(v), kZero, kOne), hi,
-                lo);
-  }
+  r = relabel(static_cast<std::uint32_t>(map[n.var]), lo, hi);
   cache_insert(kOpRename, f, map_id, 0, r);
   return r ^ fc;
+}
+
+std::uint32_t BddManager::relabel(std::uint32_t v, std::uint32_t lo,
+                                  std::uint32_t hi) {
+  const int lvl = perm_[v];
+  // The target variable sits above both renamed children (terminals sit at
+  // kTermLevel): a pure relabel, one hash-cons per node. This is the hot
+  // path for next→present in the interleaved reachability encoding.
+  if (level(hi) > lvl && level(lo) > lvl) return find_or_add(v, lo, hi);
+  // General case (the map moves a variable under another): rebuild with
+  // ITE on the target variable, as in CUDD's permute.
+  return ite_rec(find_or_add(v, kZero, kOne), hi, lo);
 }
 
 Bdd BddManager::rename(const Bdd& f, int map_id) {
@@ -834,6 +837,82 @@ Bdd BddManager::rename(const Bdd& f, int map_id) {
   ++stats_.rename_calls;
   return make(rename_rec(f.idx_, rename_maps_[static_cast<size_t>(map_id)],
                          static_cast<std::uint32_t>(map_id)));
+}
+
+std::uint32_t BddManager::and_exists_rename_rec(std::uint32_t f,
+                                                std::uint32_t g,
+                                                std::uint32_t cube,
+                                                const std::vector<int>& map) {
+  ++stats_.and_exists_recursions;
+  // Terminal cases as in and_exists_rec; a constant operand leaves a plain
+  // quantification, renamed through rename's own cache entries.
+  const auto map_id = static_cast<std::uint32_t>(fused_rename_map_);
+  if (f == kZero || g == kZero || f == negate(g)) return kZero;
+  if (f == kOne && g == kOne) return kOne;
+  if (f == kOne) return rename_rec(quant_rec(g, cube, true), map, map_id);
+  if (g == kOne || f == g)
+    return rename_rec(quant_rec(f, cube, true), map, map_id);
+  if (f > g) std::swap(f, g);
+
+  const int lf = level(f);
+  const int lg = level(g);
+  const int top = std::min(lf, lg);
+  while (!is_term(cube) && level(cube) < top) cube = nodes_[idx_of(cube)].hi;
+
+  // The cache key omits the map: there is only one per manager.
+  std::uint32_t r;
+  if (cache_lookup(kOpAndExistsRename, f, g, cube, &r)) {
+    ++stats_.and_exists_cache_hits;
+    return r;
+  }
+
+  const std::uint32_t v =
+      static_cast<std::uint32_t>(invperm_[static_cast<size_t>(top)]);
+  const std::uint32_t fc = comp_of(f);
+  const std::uint32_t gc = comp_of(g);
+  const Node& fn = nodes_[idx_of(f)];
+  const Node& gn = nodes_[idx_of(g)];
+  const std::uint32_t f1 = (lf == top) ? fn.hi ^ fc : f;
+  const std::uint32_t f0 = (lf == top) ? fn.lo ^ fc : f;
+  const std::uint32_t g1 = (lg == top) ? gn.hi ^ gc : g;
+  const std::uint32_t g0 = (lg == top) ? gn.lo ^ gc : g;
+
+  if (level(cube) == top) {
+    const std::uint32_t rest = nodes_[idx_of(cube)].hi;
+    const std::uint32_t hi = and_exists_rename_rec(f1, g1, rest, map);
+    if (hi == kOne) {
+      r = kOne;  // ∃v absorbs: the other branch cannot add anything
+    } else {
+      const std::uint32_t lo = and_exists_rename_rec(f0, g0, rest, map);
+      r = or_of(hi, lo);
+    }
+  } else {
+    // Renaming is a homomorphism, so the renamed branches are the renamed
+    // product's branches: emit the node under its substituted variable.
+    const std::uint32_t hi = and_exists_rename_rec(f1, g1, cube, map);
+    const std::uint32_t lo = and_exists_rename_rec(f0, g0, cube, map);
+    r = relabel(static_cast<std::uint32_t>(map[v]), lo, hi);
+  }
+  cache_insert(kOpAndExistsRename, f, g, cube, r);
+  return r;
+}
+
+Bdd BddManager::and_exists_rename(const Bdd& f, const Bdd& g,
+                                  const std::vector<int>& vars, int map_id) {
+  POLIS_CHECK(f.mgr_ == this && g.mgr_ == this);
+  POLIS_CHECK_MSG(map_id >= 0 &&
+                      static_cast<size_t>(map_id) < rename_maps_.size(),
+                  "and_exists_rename: unknown map id");
+  if (fused_rename_map_ < 0) fused_rename_map_ = map_id;
+  POLIS_CHECK_MSG(map_id == fused_rename_map_,
+                  "and_exists_rename: map " << map_id << " differs from map "
+                      << fused_rename_map_
+                      << ", the one this manager's cache entries assume");
+  ++stats_.and_exists_calls;
+  for (int v : vars) check_var(v);
+  const std::uint32_t cube = make_cube(vars);
+  return make(and_exists_rename_rec(
+      f.idx_, g.idx_, cube, rename_maps_[static_cast<size_t>(map_id)]));
 }
 
 std::uint32_t BddManager::restrict_rec(std::uint32_t g, std::uint32_t c) {
@@ -889,10 +968,7 @@ Bdd BddManager::restrict(const Bdd& f, const Bdd& care) {
 std::set<int> BddManager::support(const Bdd& f) {
   POLIS_CHECK(f.mgr_ == this);
   std::set<int> out;
-  if (visit_epoch_.size() < 2 * nodes_.size())
-    visit_epoch_.resize(2 * nodes_.size(), 0);
-  ++epoch_;
-  visit_stack_.clear();
+  begin_visit();
   // Support ignores phases: traverse physical nodes (mark by arena index).
   visit_stack_.push_back(idx_of(f.idx_));
   while (!visit_stack_.empty()) {
@@ -973,10 +1049,7 @@ size_t BddManager::node_count(const Bdd& f) {
 }
 
 size_t BddManager::node_count(const std::vector<Bdd>& roots) {
-  if (visit_epoch_.size() < 2 * nodes_.size())
-    visit_epoch_.resize(2 * nodes_.size(), 0);
-  ++epoch_;
-  visit_stack_.clear();
+  begin_visit();
   for (const Bdd& r : roots) {
     POLIS_CHECK(r.mgr_ == this);
     visit_stack_.push_back(r.idx_);
@@ -1000,10 +1073,7 @@ size_t BddManager::node_count(const std::vector<Bdd>& roots) {
 
 size_t BddManager::shared_node_count(const Bdd& f) {
   POLIS_CHECK(f.mgr_ == this);
-  if (visit_epoch_.size() < 2 * nodes_.size())
-    visit_epoch_.resize(2 * nodes_.size(), 0);
-  ++epoch_;
-  visit_stack_.clear();
+  begin_visit();
   visit_stack_.push_back(idx_of(f.idx_));
   size_t count = 0;
   while (!visit_stack_.empty()) {
@@ -1018,11 +1088,23 @@ size_t BddManager::shared_node_count(const Bdd& f) {
   return count;
 }
 
-size_t BddManager::mark_live() {
+void BddManager::begin_visit() {
   if (visit_epoch_.size() < 2 * nodes_.size())
     visit_epoch_.resize(2 * nodes_.size(), 0);
-  ++epoch_;
+  if (++epoch_ == 0) {
+    std::fill(visit_epoch_.begin(), visit_epoch_.end(), 0u);
+    epoch_ = 1;
+  }
   visit_stack_.clear();
+}
+
+void BddManager::set_visit_epoch(std::uint32_t epoch) {
+  POLIS_CHECK_MSG(epoch >= epoch_, "the visit epoch only moves forward");
+  epoch_ = epoch;
+}
+
+size_t BddManager::mark_live() {
+  begin_visit();
   // Roots = every registered handle; duplicates collapse on the epoch check.
   for (const Bdd* h = handle_head_; h != nullptr; h = h->next_)
     visit_stack_.push_back(h->idx_);

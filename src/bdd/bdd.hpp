@@ -1,7 +1,9 @@
 // A from-scratch ROBDD package (Bryant [10]) in the style the paper relies
 // on: unique table for canonicity, ITE with a computed cache, cofactors,
-// smoothing (existential quantification, §II-C), support computation, and
-// order replacement used by the sifting reorderer (Rudell [31]).
+// smoothing (existential quantification, §II-C), the relational product
+// and its fused next→present variant for image computation, simultaneous
+// variable substitution, support computation, and order replacement used
+// by the sifting reorderer (Rudell [31]).
 //
 // The kernel follows Brace–Rudell–Bryant ("Efficient Implementation of a BDD
 // Package") and Somenzi's CUDD:
@@ -150,10 +152,10 @@ struct KernelStats {
   // Garbage collection.
   std::uint64_t gc_runs = 0;  // prune or compaction passes that freed nodes
   std::uint64_t nodes_reclaimed = 0;
-  // Relational product (and_exists).
+  // Relational product (and_exists and the fused and_exists_rename).
   std::uint64_t and_exists_calls = 0;       // top-level invocations
   std::uint64_t and_exists_recursions = 0;  // recursive steps taken
-  std::uint64_t and_exists_cache_hits = 0;  // computed-cache hits on kOpAndExists
+  std::uint64_t and_exists_cache_hits = 0;  // computed-cache hits on either op
   // Simultaneous variable substitution (rename).
   std::uint64_t rename_calls = 0;  // top-level invocations
   // Cross-manager migration (copy_across; counters on the destination).
@@ -278,7 +280,8 @@ class BddManager {
   /// live for the manager's lifetime; the returned id is a stable computed
   /// cache key, so renames memoise across calls — in the reachability
   /// fixpoint the next→present relabel of an unchanged image subgraph is a
-  /// cache hit on the next iteration.
+  /// cache hit on the next iteration. Registering a substitution equal to
+  /// an existing one returns the existing id.
   int register_rename(const std::vector<std::pair<int, int>>& from_to);
 
   /// Simultaneous substitution of variables for variables (CUDD's permute).
@@ -288,6 +291,18 @@ class BddManager {
   /// the relabel O(nodes) instead of one `compose` traversal per variable.
   /// Falls back to ITE per node for arbitrary (support-overlapping) maps.
   Bdd rename(const Bdd& f, int map_id);
+
+  /// `rename(and_exists(f, g, vars), map_id)` in one recursion — the
+  /// forward image step with its next→present substitution fused in.
+  /// Quantified levels OR their branches as `and_exists` does; every other
+  /// level is emitted directly under its renamed variable (one `find_or_add`
+  /// when the target sits above both children, ITE otherwise, as in
+  /// `rename`), so the pre-rename product is never built. Its cache entries
+  /// are keyed on (f, g, cube) alone, which is sound only for one map: the
+  /// first map id this op sees is the manager's fused map, and a call with
+  /// any other id fails a CheckError.
+  Bdd and_exists_rename(const Bdd& f, const Bdd& g,
+                        const std::vector<int>& vars, int map_id);
 
   /// Migrates `f` from its own manager into this one, structurally —
   /// memoised `find_or_add` per source node, no text round-trip and no ITE
@@ -428,6 +443,11 @@ class BddManager {
   /// allocated, non-dead slots. Returns true when the arena is canonical.
   bool check_canonical_form() const;
 
+  /// Test/debug hook: moves the 32-bit visit-epoch counter forward to
+  /// `epoch` (never backward), so a test can drive the traversals across
+  /// the wraparound without 2^32 of them.
+  void set_visit_epoch(std::uint32_t epoch);
+
  private:
   friend class Bdd;
 
@@ -474,6 +494,7 @@ class BddManager {
     kOpRestrict,   // b = care
     kOpAndExists,  // b = second conjunct, c = positive cube of the vars
     kOpRename,     // b = rename map id; key stored regular
+    kOpAndExistsRename,  // as kOpAndExists; the map is the manager's fused one
   };
 
   // Tagged-handle encoding: handle = node index << 1 | complement bit. The
@@ -495,14 +516,15 @@ class BddManager {
   // straight to `kJumpCacheEntries` (see `maybe_resize_cache`).
   static constexpr size_t kInitCacheEntries = 1u << 13;
   static constexpr size_t kJumpCacheEntries = 1u << 16;
-  // The ceiling matters for long symbolic fixpoints: full-dash reachability
-  // issues ~10^9 cache lookups over a ~7M-node working set, and capping the
-  // cache at 4Mi entries (64 MiB) evicted 455M live entries — raising the
-  // cap to 64Mi entries (1 GiB, reached only after the windowed policy has
-  // doubled through eleven sustained-hit-rate checkpoints) cut that run
-  // from ~260 s to ~55 s. Small managers never get near it; the governor's
-  // arena-bytes cap still meters the cache, so budgeted runs stay bounded.
-  static constexpr size_t kMaxCacheEntries = 1u << 26;
+  // The ceiling bounds what a long symbolic fixpoint keeps resident. Full
+  // dash reachability with the fused image op, end to end (perfbench
+  // verify_dash, Release, 4-core VM): uncapped, the policy grows the cache
+  // to 16Mi entries and the run peaks at 658 MB RSS with 38.3M lookups;
+  // capped at 8Mi, 530 MB and 38.8M; at 4Mi (64 MiB), 466 MB and 40.6M,
+  // with wall time within run-to-run noise — the extra entries buy few
+  // hits. The example networks peak at 2Mi entries and synthesis managers
+  // far lower, so the cap only ever binds on full-scale fixpoints.
+  static constexpr size_t kMaxCacheEntries = 1u << 22;
   /// Arena ceiling (2^27 nodes ≈ 2 GiB of Node storage). Keeps every tagged
   /// handle below 2^28 so cache keys can carry the op tag in their top bits.
   static constexpr size_t kMaxArenaNodes = 1u << 27;
@@ -567,6 +589,12 @@ class BddManager {
   std::uint32_t compose_rec(std::uint32_t f, int var, std::uint32_t g);
   std::uint32_t rename_rec(std::uint32_t f, const std::vector<int>& map,
                            std::uint32_t map_id);
+  /// Node `v ? hi : lo` for children already renamed: one `find_or_add`
+  /// when `v` sits above both, ITE on `v` otherwise.
+  std::uint32_t relabel(std::uint32_t v, std::uint32_t lo, std::uint32_t hi);
+  std::uint32_t and_exists_rename_rec(std::uint32_t f, std::uint32_t g,
+                                      std::uint32_t cube,
+                                      const std::vector<int>& map);
   std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t care);
   std::uint32_t copy_rec(const BddManager& src, std::uint32_t f,
                          CopyCache& cache);
@@ -587,6 +615,10 @@ class BddManager {
   /// count. Leaves the epoch in visit_epoch_ for callers that filter by
   /// liveness; a *node* is live iff either of its phases is marked.
   size_t mark_live();
+  /// Starts a traversal: sizes `visit_epoch_` to the arena, bumps the epoch
+  /// (zeroing the buffer when the 32-bit counter wraps, so no mark from the
+  /// previous cycle aliases a fresh epoch) and clears `visit_stack_`.
+  void begin_visit();
 
   void check_var(int v) const;
 
@@ -601,14 +633,15 @@ class BddManager {
   std::vector<int> invperm_;  // level -> var
   std::vector<std::string> names_;
   std::vector<std::vector<int>> rename_maps_;  // map id -> var -> new var
+  int fused_rename_map_ = -1;  // the one map and_exists_rename accepts
   std::uint64_t structure_epoch_ = 0;
   Bdd* handle_head_ = nullptr;  // intrusive doubly-linked handle registry
   // Epoch-marked visit buffer for allocation-free traversals; one slot per
-  // tagged handle (2 × arena slots).
-  std::vector<std::uint64_t> visit_epoch_;
+  // tagged handle (2 × arena slots, 8 B per node — half the arena itself).
+  std::vector<std::uint32_t> visit_epoch_;
   std::vector<std::uint32_t> visit_stack_;
   std::vector<std::uint32_t> swap_scratch_;
-  std::uint64_t epoch_ = 0;
+  std::uint32_t epoch_ = 0;
   // Cache resize policy state: the observation window since the last resize
   // or cache clear.
   std::uint64_t cache_lookups_at_resize_ = 0;

@@ -174,8 +174,11 @@ TransitionSystem build_transition_system(NetworkEncoding& enc,
     }
     tr.clusters.push_back(std::move(c));
   }
-  for (Cluster& c : tr.clusters)
-    c.rename_map = register_next_to_present(mgr, c.modified);
+  std::vector<VarPair> all_modified;
+  for (const Cluster& c : tr.clusters)
+    all_modified.insert(all_modified.end(), c.modified.begin(),
+                        c.modified.end());
+  tr.next_to_present = register_next_to_present(mgr, all_modified);
   if (span.armed()) {
     span.arg("clusters", tr.clusters.size());
     std::uint64_t transitions = 0;
@@ -198,13 +201,12 @@ bdd::Bdd image_one(const TransitionSystem& tr, const Cluster& cluster,
                    const bdd::Bdd& from) {
   bdd::BddManager& mgr = tr.enc->manager();
   // Early quantification: only this cluster's present bits are conjoined
-  // away; unmodified bits pass through untouched.
-  bdd::Bdd img =
-      mgr.and_exists(from, cluster.relation, cluster.quantify_present);
-  // After quantification the present twins are gone from the support, and
-  // the interleaved order keeps each next bit directly below its present
-  // twin — the relabel is a pure structural pass (see BddManager::rename).
-  return mgr.rename(img, cluster.rename_map);
+  // away; unmodified bits pass through untouched. The quantified present
+  // twins are gone from the support, and the interleaved order keeps each
+  // next bit directly below its present twin, so the fused substitution is
+  // a pure relabel (see BddManager::and_exists_rename).
+  return mgr.and_exists_rename(from, cluster.relation,
+                               cluster.quantify_present, tr.next_to_present);
 }
 
 bdd::Bdd image(const TransitionSystem& tr, const bdd::Bdd& from,

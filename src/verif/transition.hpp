@@ -46,14 +46,16 @@ struct Cluster {
   bdd::Bdd overwrite_risk;
   /// Concrete transitions encoded (enumeration telemetry).
   std::uint64_t transitions = 0;
-  /// Rename-map id (on the encoding's manager) relabelling this cluster's
-  /// next bits to their present twins — the image's final substitution.
-  int rename_map = -1;
 };
 
 struct TransitionSystem {
   NetworkEncoding* enc = nullptr;  // non-owning; outlives the system
   std::vector<Cluster> clusters;
+  /// Rename-map id (on the encoding's manager) relabelling every cluster's
+  /// next bits to their present twins — the image's substitution. One map
+  /// serves all clusters: a cluster's relation holds next bits of its own
+  /// modified set only, and the image source holds no next bits at all.
+  int next_to_present = -1;
 };
 
 struct TransitionOptions {
@@ -67,14 +69,16 @@ TransitionSystem build_transition_system(NetworkEncoding& enc,
                                          const TransitionOptions& options = {});
 
 /// Registers the next→present relabel of `modified` on `mgr` and returns
-/// the map id. Used once per cluster at build time, and again by the
+/// the map id. Used once over every cluster's bits at build time, and by the
 /// parallel reachability engine for each worker manager's cluster copies.
 int register_next_to_present(bdd::BddManager& mgr,
                              const std::vector<VarPair>& modified);
 
-/// Forward image of `from` under one cluster: rename-free result over the
-/// present variables (and_exists over the modified present bits, then a
-/// single-pass next → present relabel).
+/// Forward image of `from` under one cluster, over the present variables:
+/// one fused `and_exists_rename` pass that conjoins with the relation,
+/// quantifies the modified present bits and writes each surviving next bit
+/// at its present twin's level. The same handle as `rename(and_exists(...))`
+/// without building the pre-rename product.
 bdd::Bdd image_one(const TransitionSystem& tr, const Cluster& cluster,
                    const bdd::Bdd& from);
 

@@ -1,9 +1,9 @@
 // Kernel-level stress tests for the CUDD-style BddManager internals:
 // randomized operation interleavings checked against truth tables and the
 // rebuild sifting oracle, handle churn through compaction and reordering,
-// complement-edge canonical-form invariants, and the computed-cache
-// contracts (key normalization under complementation, resize policy across
-// GC boundaries, stats counters).
+// complement-edge canonical-form invariants, the computed-cache contracts
+// (key normalization under complementation, resize policy across GC
+// boundaries, stats counters), the fused image op and visit-epoch wraparound.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -613,6 +613,117 @@ TEST(BddKernel, RenameIsSimultaneousSubstitution) {
     EXPECT_EQ(table_of(mgr, r, n), want);
   }
   EXPECT_GT(mgr.stats().rename_calls, 0u);
+}
+
+// The fused image op must be handle-identical to rename(and_exists(...)) on
+// random DAGs over interleaved (present, next) pairs — including quantifier
+// sets that leave a present twin in the support, where the relabel is not
+// order-preserving and falls back to ITE — and on every terminal case.
+TEST(BddKernel, AndExistsRenameEqualsRenameOfAndExists) {
+  const int pairs = 5;
+  BddManager mgr(2 * pairs);  // var 2i = present i, var 2i + 1 = next i
+  std::vector<std::pair<int, int>> next_to_present;
+  for (int i = 0; i < pairs; ++i) next_to_present.emplace_back(2 * i + 1, 2 * i);
+  const int map = mgr.register_rename(next_to_present);
+  Rng rng(2024);
+  const auto random_fn = [&](bool with_next) {
+    const auto pick = [&] {
+      const int i = static_cast<int>(rng.uniform(0, pairs - 1));
+      return mgr.var(with_next && rng.flip() ? 2 * i + 1 : 2 * i);
+    };
+    Bdd f = pick();
+    for (int j = 0; j < 5; ++j) {
+      switch (rng.uniform(0, 3)) {
+        case 0: f = f & pick(); break;
+        case 1: f = f | pick(); break;
+        case 2: f = f ^ pick(); break;
+        default: f = mgr.ite(pick(), f, !f); break;
+      }
+    }
+    return f;
+  };
+  const auto expect_fused = [&](const Bdd& f, const Bdd& g,
+                                const std::vector<int>& vars) {
+    EXPECT_EQ(mgr.and_exists_rename(f, g, vars, map),
+              mgr.rename(mgr.and_exists(f, g, vars), map));
+  };
+  for (int trial = 0; trial < 200; ++trial) {
+    const Bdd from = random_fn(/*with_next=*/false);
+    const Bdd relation = random_fn(/*with_next=*/true);
+    std::vector<int> vars;
+    for (int i = 0; i < pairs; ++i)
+      if (rng.flip(0.6)) vars.push_back(2 * i);
+    expect_fused(from, relation, vars);
+    expect_fused(relation, from, vars);
+    expect_fused(from, relation, {});
+  }
+  const Bdd f = random_fn(true);
+  const std::vector<int> all = {0, 2, 4, 6, 8};
+  for (const std::vector<int>& vars : {std::vector<int>{}, all}) {
+    expect_fused(mgr.one(), mgr.one(), vars);
+    expect_fused(mgr.zero(), f, vars);
+    expect_fused(f, mgr.zero(), vars);
+    expect_fused(mgr.one(), f, vars);
+    expect_fused(f, mgr.one(), vars);
+    expect_fused(f, f, vars);
+    expect_fused(f, !f, vars);
+  }
+  EXPECT_TRUE(mgr.check_canonical_form());
+}
+
+// The fused op keys its cache on (f, g, cube) alone, so a manager accepts
+// one map for it: a second, different map is a CheckError, while
+// re-registering an identical map returns the same id and stays accepted.
+TEST(BddKernel, AndExistsRenameAcceptsOneMapPerManager) {
+  BddManager mgr(4);
+  const int first = mgr.register_rename({{1, 0}, {3, 2}});
+  const int other = mgr.register_rename({{3, 2}});
+  EXPECT_EQ(mgr.register_rename({{1, 0}, {3, 2}}), first);
+  EXPECT_NE(other, first);
+  const Bdd from = mgr.var(0) & !mgr.var(2);
+  const Bdd relation = mgr.var(0) & mgr.var(1) & !mgr.var(3);
+  const Bdd img = mgr.and_exists_rename(from, relation, {0}, first);
+  EXPECT_EQ(img, mgr.var(0) & !mgr.var(2));
+  EXPECT_THROW(mgr.and_exists_rename(from, relation, {0}, other), CheckError);
+  EXPECT_EQ(mgr.and_exists_rename(from, relation, {0}, first), img);
+}
+
+// Visit marks are 32-bit epochs. When the counter wraps, the buffer is
+// zeroed, so marks left by the previous cycle never alias a fresh epoch —
+// node counts, liveness and collection stay exact across the wrap.
+TEST(BddKernel, VisitEpochWraparoundKeepsTraversalsExact) {
+  const int n = 8;
+  BddManager mgr(n);
+  Bdd f = mgr.var(0);
+  for (int v = 1; v < n; ++v) f = (v & 1) ? (f ^ mgr.var(v)) : (f | mgr.var(v));
+  const Bdd g = f & mgr.var(3);
+  // Epochs 1, 2 and 3: every live subfunction, then g's, then f's. The
+  // handles of g that f does not reach (g's root among them) keep mark 2.
+  const size_t live = mgr.live_node_count();
+  const size_t g_nodes = mgr.node_count(g);
+  const size_t f_nodes = mgr.node_count(f);
+  { Bdd garbage = f ^ mgr.var(1) ^ mgr.var(6); }
+
+  // The next traversal wraps the counter, and the one after it counts g at
+  // epoch 2 again: a surviving mark would make it count nothing.
+  mgr.set_visit_epoch(0xffffffffu);
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(mgr.node_count(f), f_nodes) << "round " << round;
+    EXPECT_EQ(mgr.node_count(g), g_nodes) << "round " << round;
+    EXPECT_EQ(mgr.live_node_count(), live) << "round " << round;
+  }
+  mgr.garbage_collect();
+  EXPECT_EQ(mgr.live_node_count(), live);
+  EXPECT_EQ(mgr.node_count(f), f_nodes);
+  EXPECT_EQ(mgr.node_count(g), g_nodes);
+  EXPECT_EQ(f, [&] {
+    Bdd h = mgr.var(0);
+    for (int v = 1; v < n; ++v)
+      h = (v & 1) ? (h ^ mgr.var(v)) : (h | mgr.var(v));
+    return h;
+  }());
+  EXPECT_TRUE(mgr.check_canonical_form());
+  EXPECT_THROW(mgr.set_visit_epoch(0), CheckError);
 }
 
 }  // namespace

@@ -187,7 +187,8 @@ TEST(Reachability, GcChurnLeavesReachedSetIdentical) {
 
 // At every BFS layer the step (subtract per cluster, pairwise union) is the
 // same handle as the left-fold union of every cluster's image minus the
-// reached set — canonicity makes the schedule invisible.
+// reached set — canonicity makes the schedule invisible. Each cluster's
+// fused image is also the same handle as the unfused rename(and_exists).
 TEST(ImageStep, EqualsLeftFoldMinusReachedAtEveryLayer) {
   const std::vector<std::shared_ptr<cfsm::Network>> nets = {
       blinker_network(), systems::meter_network(),
@@ -204,8 +205,14 @@ TEST(ImageStep, EqualsLeftFoldMinusReachedAtEveryLayer) {
       const Bdd& layer = reach.layers[k];
       reached = reached | layer;
       Bdd fold = mgr.zero();
-      for (const verif::Cluster& c : tr.clusters)
-        fold = fold | verif::image_one(tr, c, layer);
+      for (const verif::Cluster& c : tr.clusters) {
+        const Bdd img = verif::image_one(tr, c, layer);
+        EXPECT_EQ(img, mgr.rename(mgr.and_exists(layer, c.relation,
+                                                 c.quantify_present),
+                                  tr.next_to_present))
+            << net->name() << " layer " << k << " cluster " << c.subject;
+        fold = fold | img;
+      }
       const Bdd step = verif::image(tr, layer, reached);
       EXPECT_EQ(step, fold & !reached) << net->name() << " layer " << k;
       EXPECT_EQ(step, k + 1 < reach.layers.size() ? reach.layers[k + 1]
@@ -248,19 +255,22 @@ TEST(ImageStep, DegradeBranchWalksTheDefaultLayers) {
   EXPECT_EQ(degraded.reached, plain.reached);
 }
 
-// Work-counter guard: the subtract-then-pairwise step creates ~710K nodes on
-// the two-channel generated dash; the left fold it replaced created ~1.24M.
-// The counter is deterministic, so a return of the linear fold trips this.
+// Work-counter guard: the fused subtract-then-pairwise step creates ~588K
+// nodes and makes ~1.94M cache lookups on the two-channel generated dash;
+// the separate rename pass it replaced took ~706K and ~2.39M, the left fold
+// before that ~1.24M nodes. The cache never reaches its cap here, so both
+// counters are deterministic and a return of either trips this.
 TEST(ImageStep, TwoChannelDashStaysUnderNodeCreationBudget) {
   const auto net = systems::generated_dash_network(2);
   BddManager mgr;
   verif::NetworkEncoding enc(*net, mgr);
   verif::TransitionSystem tr = verif::build_transition_system(enc);
-  const std::uint64_t before = mgr.stats().nodes_created;
+  const bdd::KernelStats before = mgr.stats();
   const verif::ReachResult reach = verif::reachable_states(tr);
-  const std::uint64_t created = mgr.stats().nodes_created - before;
+  const bdd::KernelStats after = mgr.stats();
   EXPECT_TRUE(reach.stats.exact);
-  EXPECT_LE(created, 800000u);
+  EXPECT_LE(after.nodes_created - before.nodes_created, 650000u);
+  EXPECT_LE(after.cache_lookups - before.cache_lookups, 2100000u);
 }
 
 // --- frontend assert clause -------------------------------------------------
