@@ -2,9 +2,8 @@
 // network (reached states, iterations, peak live nodes, GC runs, transition
 // relation size), the tentpole payoff — estimated code size of each machine
 // with the *local* care set versus the *global* (reached-set) care filter
-// fed back into s-graph synthesis — and the parallel-image scaling curve
-// over the generated N-channel dashboard family (channels × threads).
-#include <algorithm>
+// fed back into s-graph synthesis — and the fixpoint's scaling curve over
+// the generated N-channel dashboard family.
 #include <chrono>
 #include <iostream>
 
@@ -93,51 +92,28 @@ void run_network(const std::string& name, const cfsm::Network& net,
   }
 }
 
-// Thread-count × channel-count sweep over the generated dashboard family
+// Channel-count sweep over the generated dashboard family
 // (systems::generated_dash_network): the state space grows multiplicatively
 // per channel while the cluster count grows linearly, so the family is the
-// scaling axis for the sharded image computation. Each row re-verifies the
-// same network serially (threads = 1, in-manager image) and sharded
-// (threads > 1, per-worker managers); `speedup` is serial_ms / row_ms on the
-// same channel count, `worker peak` the largest per-worker arena high-water
-// mark. Care extraction is off — the sweep measures the fixpoint, not the
-// downstream synthesis.
+// fixpoint's scaling axis. Care extraction is off — the sweep measures the
+// fixpoint, not the downstream synthesis.
 void run_scaling(bench::Report& report) {
-  Table t({"channels", "threads", "reached", "iters", "shards", "verify ms",
-           "speedup", "worker peak"});
+  Table t({"channels", "reached", "iters", "verify ms"});
   for (int channels = 1; channels <= 3; ++channels) {
     const auto net = systems::generated_dash_network(channels);
-    double serial_ms = 0;
-    for (const int threads : {1, 2, 4}) {
-      verif::VerifyOptions opt;
-      opt.extract_care = false;
-      opt.reach.num_threads = threads;
-      const auto t0 = std::chrono::steady_clock::now();
-      const verif::VerifyResult v = verif::verify_network(*net, opt);
-      const double ms = 1000 * seconds_since(t0);
-      if (threads == 1) serial_ms = ms;
-      const double speedup = ms > 0 ? serial_ms / ms : 0;
-      std::size_t worker_peak = 0;
-      for (const std::size_t p : v.reach.worker_peak_nodes)
-        worker_peak = std::max(worker_peak, p);
-      t.add_row({std::to_string(channels), std::to_string(threads),
-                 fixed(v.reach.reached_states, 0),
-                 std::to_string(v.reach.iterations),
-                 std::to_string(v.reach.shards), fixed(ms, 1),
-                 fixed(speedup, 2), std::to_string(worker_peak)});
-      report.entry("dash_gen" + std::to_string(channels) + ".t" +
-                   std::to_string(threads))
-          .metric("channels", channels)
-          .metric("threads", threads)
-          .metric("reached_states", v.reach.reached_states)
-          .metric("iterations", v.reach.iterations)
-          .metric("shards", v.reach.shards)
-          .metric("exact", v.reach.exact ? 1 : 0)
-          .metric("verify_ms", ms)
-          .metric("speedup_vs_serial", speedup)
-          .metric("max_worker_peak_nodes", worker_peak)
-          .metric("worker_gc_runs", v.reach.worker_gc_runs);
-    }
+    verif::VerifyOptions opt;
+    opt.extract_care = false;
+    const auto t0 = std::chrono::steady_clock::now();
+    const verif::VerifyResult v = verif::verify_network(*net, opt);
+    const double ms = 1000 * seconds_since(t0);
+    t.add_row({std::to_string(channels), fixed(v.reach.reached_states, 0),
+               std::to_string(v.reach.iterations), fixed(ms, 1)});
+    report.entry("dash_gen" + std::to_string(channels))
+        .metric("channels", channels)
+        .metric("reached_states", v.reach.reached_states)
+        .metric("iterations", v.reach.iterations)
+        .metric("exact", v.reach.exact ? 1 : 0)
+        .metric("verify_ms", ms);
   }
   t.print(std::cout);
 }
@@ -168,7 +144,7 @@ int main() {
   verify_table.print(std::cout);
   std::cout << "\nCode size with local vs global (reached-set) care\n";
   care_table.print(std::cout);
-  std::cout << "\nParallel image scaling (generated dash family)\n";
+  std::cout << "\nReachability scaling (generated dash family)\n";
   run_scaling(report);
   report.capture_phases();
   report.capture_series();

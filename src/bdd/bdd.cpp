@@ -384,9 +384,6 @@ void BddManager::flush_stats_to_obs() {
         reg.counter("bdd.nodes_reclaimed");
     obs::MetricsRegistry::Id peak_nodes = reg.max_gauge("bdd.peak_nodes");
     obs::MetricsRegistry::Id peak_hist = reg.histogram("bdd.manager_peak_nodes");
-    obs::MetricsRegistry::Id copy_calls = reg.counter("bdd.copy_across_calls");
-    obs::MetricsRegistry::Id copy_nodes = reg.counter("bdd.copy_nodes");
-    obs::MetricsRegistry::Id copy_hits = reg.counter("bdd.copy_cache_hits");
   };
   static const Ids ids;
   obs::MetricsRegistry& reg = ids.reg;
@@ -411,9 +408,6 @@ void BddManager::flush_stats_to_obs() {
   drain(ids.nodes_recycled, s.nodes_recycled, f.nodes_recycled);
   drain(ids.gc_runs, s.gc_runs, f.gc_runs);
   drain(ids.nodes_reclaimed, s.nodes_reclaimed, f.nodes_reclaimed);
-  drain(ids.copy_calls, s.copy_across_calls, f.copy_across_calls);
-  drain(ids.copy_nodes, s.copy_nodes, f.copy_nodes);
-  drain(ids.copy_hits, s.copy_cache_hits, f.copy_cache_hits);
   reg.set(ids.peak_nodes, static_cast<std::int64_t>(s.peak_nodes));
   if (f.peak_nodes != s.peak_nodes) {
     // One histogram sample per manager lifetime peak (sampled at the first
@@ -1133,11 +1127,6 @@ size_t BddManager::swap_adjacent_levels(int level) {
   const int y = invperm_[static_cast<size_t>(level + 1)];  // lower var
   const std::uint32_t xv = static_cast<std::uint32_t>(x);
   const std::uint32_t yv = static_cast<std::uint32_t>(y);
-  // Nodes labelled x are rewritten in place: their indices survive but the
-  // order (and for cross-manager consumers, the shape) changes — stale
-  // CopyCache translations keyed on this manager must not survive.
-  ++structure_epoch_;
-
   // The swap body is not unwindable once x's chains are stolen, so every
   // throwing path is moved in front of it: reject if the worst case (two
   // fresh nodes per x-node) could hit the hard arena cap, pre-reserve the
@@ -1256,54 +1245,6 @@ std::uint32_t BddManager::transfer_from(BddManager& src, std::uint32_t f,
   return r ^ fc;
 }
 
-std::uint32_t BddManager::copy_rec(const BddManager& src, std::uint32_t f,
-                                   CopyCache& cache) {
-  if (src.is_term(f)) return f;  // terminal handles agree across managers
-  // Memoise the image of the regular function per source node; a
-  // complemented caller gets the free complement of the cached image.
-  const std::uint32_t fc = comp_of(f);
-  const std::uint32_t fr = regular(f);
-  const auto it = cache.map_.find(fr);
-  if (it != cache.map_.end()) {
-    ++stats_.copy_cache_hits;
-    return it->second.idx_ ^ fc;
-  }
-  const Node n = src.nodes_[idx_of(f)];
-  const std::uint32_t lo = copy_rec(src, n.lo, cache);
-  const std::uint32_t hi = copy_rec(src, n.hi, cache);
-  // Both managers share the variable order, `hi` is regular by induction
-  // (the source stores it regular), and lo != hi in the source implies
-  // lo != hi here (injectivity per level, bottom up) — so this is exactly
-  // the stored-node constellation and find_or_add never re-normalises. The
-  // image of a regular handle is therefore regular: canonical form and
-  // function-equality-is-handle-equality carry over verbatim.
-  const std::uint32_t r = find_or_add(n.var, lo, hi);
-  cache.map_.emplace(fr, Bdd(this, r));
-  ++stats_.copy_nodes;
-  return r ^ fc;
-}
-
-Bdd BddManager::copy_across(const Bdd& f, CopyCache& cache) {
-  POLIS_CHECK_MSG(f.mgr_ != nullptr, "copy_across: null source handle");
-  const BddManager& src = *f.mgr_;
-  if (&src == this) return f;
-  POLIS_CHECK_MSG(src.invperm_ == invperm_,
-                  "copy_across requires identical variable sets and orders");
-  if (cache.src_ != &src || cache.dst_ != this ||
-      cache.src_epoch_ != src.structure_epoch_) {
-    // First use, rebinding, or the source renumbered/recycled arena slots
-    // since the cache was filled: raw source indices are no longer valid
-    // keys, start over.
-    if (!cache.map_.empty()) ++stats_.copy_cache_resets;
-    cache.map_.clear();
-    cache.src_ = &src;
-    cache.dst_ = this;
-    cache.src_epoch_ = src.structure_epoch_;
-  }
-  ++stats_.copy_across_calls;
-  return make(copy_rec(src, f.idx_, cache));
-}
-
 std::vector<std::uint32_t> BddManager::live_roots() const {
   // Distinct non-terminal tagged handles over the registered-handle list,
   // first-seen order.
@@ -1363,7 +1304,6 @@ void BddManager::set_order(const std::vector<int>& order) {
   perm_ = std::move(scratch.perm_);
   invperm_ = std::move(scratch.invperm_);
   free_head_ = kNil;
-  ++structure_epoch_;  // every raw index was renumbered
   cache_clear();
   visit_epoch_.assign(2 * nodes_.size(), 0);
   stats_.peak_nodes = std::max(stats_.peak_nodes, nodes_.size());
@@ -1427,7 +1367,6 @@ void BddManager::garbage_collect() {
   }
 
   free_head_ = kNil;
-  ++structure_epoch_;  // compaction renumbered every surviving index
   cache_clear();
   visit_epoch_.assign(2 * nodes_.size(), 0);
   if (before > nodes_.size()) {
@@ -1482,11 +1421,8 @@ size_t BddManager::prune_dead_nodes() {
   }
   if (removed > 0) {
     // Cached results may reference pruned slots, which the free list will
-    // recycle into different functions; drop the cache. Cross-manager
-    // translation caches keyed on this manager are stale for the same
-    // reason — advance the structure epoch so they self-invalidate.
+    // recycle into different functions; drop the cache.
     cache_clear();
-    ++structure_epoch_;
     ++stats_.gc_runs;
     stats_.nodes_reclaimed += removed;
   }

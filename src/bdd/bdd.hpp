@@ -1,9 +1,10 @@
 // A from-scratch ROBDD package (Bryant [10]) in the style the paper relies
 // on: unique table for canonicity, ITE with a computed cache, cofactors,
-// smoothing (existential quantification, §II-C), the relational product
-// and its fused next→present variant for image computation, simultaneous
-// variable substitution, support computation, and order replacement used
-// by the sifting reorderer (Rudell [31]).
+// smoothing (existential quantification, §II-C), Coudert–Madre restrict,
+// the relational product and its fused next→present variant (the image
+// step of the reachability fixpoint), simultaneous variable substitution
+// (the unfused reference for that variant), support computation, and order
+// replacement used by the sifting reorderer (Rudell [31]).
 //
 // The kernel follows Brace–Rudell–Bryant ("Efficient Implementation of a BDD
 // Package") and Somenzi's CUDD:
@@ -59,7 +60,6 @@
 #include <functional>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -158,11 +158,6 @@ struct KernelStats {
   std::uint64_t and_exists_cache_hits = 0;  // computed-cache hits on either op
   // Simultaneous variable substitution (rename).
   std::uint64_t rename_calls = 0;  // top-level invocations
-  // Cross-manager migration (copy_across; counters on the destination).
-  std::uint64_t copy_across_calls = 0;     // top-level invocations
-  std::uint64_t copy_nodes = 0;            // nodes materialised in this manager
-  std::uint64_t copy_cache_hits = 0;       // translation-cache hits
-  std::uint64_t copy_cache_resets = 0;     // cache invalidations (epoch/rebind)
 
   double cache_hit_rate() const {
     return cache_lookups == 0
@@ -170,40 +165,6 @@ struct KernelStats {
                : static_cast<double>(cache_hits) /
                      static_cast<double>(cache_lookups);
   }
-};
-
-/// Memoised node-translation cache for `BddManager::copy_across`. Maps
-/// regular source handles to their images in the destination manager; the
-/// values are registered `Bdd` handles, so they both survive and are
-/// retargeted by destination-side garbage collection — a warm cache stays
-/// valid across destination GCs. Source-side validity is tracked by the
-/// source manager's structure epoch: any operation that can reuse or
-/// renumber source arena slots (compaction, pruning, reordering) bumps the
-/// epoch and the next `copy_across` discards the cache. One cache binds one
-/// (source, destination) pair; pass it back to the same pair to reuse
-/// translations across calls (the parallel reachability engine keeps one
-/// per direction per worker for exactly this).
-class CopyCache {
- public:
-  CopyCache() = default;
-  CopyCache(const CopyCache&) = delete;
-  CopyCache& operator=(const CopyCache&) = delete;
-
-  /// Cached translations currently held.
-  std::size_t size() const { return map_.size(); }
-  /// Drops all translations (the binding is re-established on next use).
-  void clear() {
-    map_.clear();
-    src_ = nullptr;
-    dst_ = nullptr;
-  }
-
- private:
-  friend class BddManager;
-  const BddManager* src_ = nullptr;
-  BddManager* dst_ = nullptr;
-  std::uint64_t src_epoch_ = 0;
-  std::unordered_map<std::uint32_t, Bdd> map_;  // regular src handle -> dst
 };
 
 /// Owns the node arena, per-variable unique subtables, computed cache and
@@ -278,10 +239,10 @@ class BddManager {
   /// Registers a simultaneous variable substitution (every `first` becomes
   /// `second`, all at once) for use with `rename`. Maps are immutable and
   /// live for the manager's lifetime; the returned id is a stable computed
-  /// cache key, so renames memoise across calls — in the reachability
-  /// fixpoint the next→present relabel of an unchanged image subgraph is a
-  /// cache hit on the next iteration. Registering a substitution equal to
-  /// an existing one returns the existing id.
+  /// cache key, so renames memoise across calls. The reachability fixpoint
+  /// registers one next→present map and hands it to `and_exists_rename`.
+  /// Registering a substitution equal to an existing one returns the
+  /// existing id.
   int register_rename(const std::vector<std::pair<int, int>>& from_to);
 
   /// Simultaneous substitution of variables for variables (CUDD's permute).
@@ -303,23 +264,6 @@ class BddManager {
   /// any other id fails a CheckError.
   Bdd and_exists_rename(const Bdd& f, const Bdd& g,
                         const std::vector<int>& vars, int map_id);
-
-  /// Migrates `f` from its own manager into this one, structurally —
-  /// memoised `find_or_add` per source node, no text round-trip and no ITE
-  /// rebuild. Requires both managers to have the same variables in the same
-  /// order. `cache` memoises source-node translations across calls (see
-  /// `CopyCache`); it is (re)bound to this (source, destination) pair and
-  /// invalidated automatically when the source's structure epoch moves.
-  /// Copying preserves the complement-edge canonical form: the image of a
-  /// regular handle is regular, so equal functions land on equal handles.
-  Bdd copy_across(const Bdd& f, CopyCache& cache);
-
-  /// Monotone counter bumped by every operation that can renumber or
-  /// recycle arena slots (`garbage_collect`, `prune_dead_nodes`,
-  /// `set_order`, `swap_adjacent_levels`). While it holds still, a raw node
-  /// index keeps denoting the same function — the validity contract of
-  /// `CopyCache` entries keyed on this manager as source.
-  std::uint64_t structure_epoch() const { return structure_epoch_; }
 
   /// Coudert–Madre restrict (sibling substitution): a function equal to `f`
   /// wherever `care` holds, heuristically minimised using ¬care as don't
@@ -596,8 +540,6 @@ class BddManager {
                                       std::uint32_t cube,
                                       const std::vector<int>& map);
   std::uint32_t restrict_rec(std::uint32_t f, std::uint32_t care);
-  std::uint32_t copy_rec(const BddManager& src, std::uint32_t f,
-                         CopyCache& cache);
   /// Positive cube (ordered conjunction) of `vars`, built bottom-up.
   std::uint32_t make_cube(const std::vector<int>& vars);
   std::uint32_t transfer_from(BddManager& src, std::uint32_t f,
@@ -634,7 +576,6 @@ class BddManager {
   std::vector<std::string> names_;
   std::vector<std::vector<int>> rename_maps_;  // map id -> var -> new var
   int fused_rename_map_ = -1;  // the one map and_exists_rename accepts
-  std::uint64_t structure_epoch_ = 0;
   Bdd* handle_head_ = nullptr;  // intrusive doubly-linked handle registry
   // Epoch-marked visit buffer for allocation-free traversals; one slot per
   // tagged handle (2 × arena slots, 8 B per node — half the arena itself).

@@ -103,7 +103,7 @@ std::int64_t env_value_of(const cfsm::Network& network, const std::string& net,
   return after.buffers.at(ci).at(cp).value;
 }
 
-/// Backwards trace extraction over the kept BFS layers: the violating state
+/// Backwards trace extraction over the BFS layers: the violating state
 /// sits in the minimal layer k, and by construction every state of layer i+1
 /// has a predecessor in layer i under some single cluster.
 Counterexample extract_counterexample(const TransitionSystem& tr,
@@ -185,9 +185,9 @@ CheckResult check_property(const TransitionSystem& tr, const ReachResult& reach,
       reach.reached & violating_set(enc, property, enum_limit);
   if (bad.is_zero()) {
     // Sound when `reached` covers every reachable state — exact, or widened
-    // to an overapproximation. A non-converged run (iteration cap, deadline,
-    // cancellation) UNDERapproximates: the empty intersection proves
-    // nothing, so stay honestly unknown.
+    // to an overapproximation. A non-converged run (deadline, cancellation,
+    // nothing left to widen) UNDERapproximates: the empty intersection
+    // proves nothing, so stay honestly unknown.
     result.verdict =
         reach.stats.converged ? Verdict::kProved : Verdict::kUnknown;
     return result;

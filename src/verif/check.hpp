@@ -83,9 +83,9 @@ struct LostEventReport {
   /// Cluster subjects (instances / env nets) that can overwrite, with the
   /// number of reachable states in which they do.
   std::vector<std::pair<std::string, double>> offenders;
-  /// False when the reachability run did not converge (deadline/cancel/
-  /// iteration cap): `possible == false` then means "not found in the states
-  /// explored", not "cannot happen".
+  /// False when the reachability run did not converge (deadline, cancel,
+  /// nothing left to widen): `possible == false` then means "not found in
+  /// the states explored", not "cannot happen".
   bool sound = true;
 };
 LostEventReport check_no_lost_events(const TransitionSystem& tr,

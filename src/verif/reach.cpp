@@ -1,7 +1,6 @@
 #include "verif/reach.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <set>
 
@@ -9,8 +8,6 @@
 #include "obs/series.hpp"
 #include "util/check.hpp"
 #include "util/governor.hpp"
-#include "util/thread_pool.hpp"
-#include "verif/par_image.hpp"
 
 namespace polis::verif {
 
@@ -42,20 +39,6 @@ void publish_reach_stats(const ReachStats& s) {
   if (!s.converged) reg.add(ids.unconverged, 1);
   reg.set(ids.peak, static_cast<std::int64_t>(s.peak_live_nodes));
   reg.observe(ids.depth, static_cast<std::uint64_t>(s.iterations));
-  if (s.shards > 0) {
-    struct ParIds {
-      obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-      obs::MetricsRegistry::Id shards = reg.max_gauge("reach.shards");
-      obs::MetricsRegistry::Id worker_peak =
-          reg.max_gauge("reach.worker_peak_nodes");
-      obs::MetricsRegistry::Id worker_gcs = reg.counter("reach.worker_gc_runs");
-    };
-    static const ParIds par_ids;
-    reg.set(par_ids.shards, s.shards);
-    for (const std::size_t peak : s.worker_peak_nodes)
-      reg.set(par_ids.worker_peak, static_cast<std::int64_t>(peak));
-    reg.add(par_ids.worker_gcs, s.worker_gc_runs);
-  }
 }
 
 /// Budget exceeded: existentially smooth the present variable contributing
@@ -100,49 +83,16 @@ ReachResult reachable_states(const TransitionSystem& tr,
     result.reached = enc.initial_set();
   }
   bdd::Bdd frontier = result.reached;
-  if (options.keep_layers) result.layers.push_back(frontier);
+  result.layers.push_back(frontier);
   result.stats.peak_live_nodes = mgr.live_node_count();
 
-  // Parallel image engine: sharded per-cluster images on private worker
-  // managers, merged deterministically back here (see par_image.hpp). The
-  // merged image is the same canonical BDD the serial path computes, so
-  // everything downstream — layers, verdicts, counterexamples — is
-  // bit-identical at every thread count.
   // Degradation ladder: in `degrade_on_budget` mode a governor node/byte/
-  // allocation trip mid-image falls back to the same widening the static
-  // node_budget uses (the set only grows, so an empty bad-intersection still
-  // proves safety); a deadline or cancellation ends the run honestly
-  // non-converged (the reached set UNDERapproximates — `converged` gates
-  // every kProved downstream). Without the flag governor errors propagate.
+  // allocation trip mid-image widens the reached set (it only grows, so an
+  // empty bad-intersection still proves safety); a deadline or cancellation
+  // ends the run honestly non-converged (the reached set UNDERapproximates —
+  // `converged` gates every kProved downstream). Without the flag governor
+  // errors propagate.
   ResourceGovernor* const gov = ResourceGovernor::current();
-
-  const int threads =
-      options.num_threads == 0
-          ? static_cast<int>(ThreadPool::default_threads())
-          : options.num_threads;
-  std::unique_ptr<ParallelImage> par;
-  if (threads > 1 && tr.clusters.size() > 1) {
-    if (!options.degrade_on_budget) {
-      par = std::make_unique<ParallelImage>(tr, threads);
-    } else {
-      // Worker setup migrates the whole relation into per-worker managers —
-      // a real allocation that can trip an already-tight budget or land
-      // after a cancellation. Degrade to the serial image path (which has
-      // its own recovery ladder below) instead of failing the run; the
-      // loop head re-checks deadline/cancel before the first image.
-      try {
-        par = std::make_unique<ParallelImage>(tr, threads);
-      } catch (const RecoverableError&) {
-        if (gov != nullptr)
-          gov->note_degradation("parallel image setup over budget; serial");
-      }
-    }
-  }
-  // New states only: the image minus everything reached so far.
-  const auto step_image = [&](const bdd::Bdd& from) {
-    return par != nullptr ? par->image(from) & !result.reached
-                          : image(tr, from, result.reached);
-  };
   const auto stop_unconverged = [&result]() {
     result.stats.exact = false;
     result.stats.converged = false;
@@ -150,11 +100,6 @@ ReachResult reachable_states(const TransitionSystem& tr,
   };
 
   while (!frontier.is_zero()) {
-    if (options.max_iterations > 0 &&
-        result.stats.iterations >= options.max_iterations) {
-      stop_unconverged();
-      break;
-    }
     if (gov != nullptr) {
       if (!options.degrade_on_budget) {
         gov->poll();  // fail mode: throws past deadline / on cancel
@@ -174,68 +119,50 @@ ReachResult reachable_states(const TransitionSystem& tr,
       layer_span.arg("frontier_nodes", mgr.node_count(frontier));
     }
 
-    if (options.degrade_on_budget) {
-      bool recovered = false;
-      try {
-        frontier = step_image(frontier);
-        result.reached = result.reached | frontier;
-      } catch (const Cancelled&) {
+    try {
+      // New states only: the image minus everything reached so far.
+      frontier = image(tr, frontier, result.reached);
+      result.reached = result.reached | frontier;
+    } catch (const Cancelled&) {
+      if (!options.degrade_on_budget) throw;
+      if (gov != nullptr)
+        gov->note_degradation("verif fixpoint cancelled mid-image");
+      stop_unconverged();
+      break;
+    } catch (const BudgetExceeded& e) {
+      if (!options.degrade_on_budget) throw;
+      if (e.kind() == BudgetExceeded::Kind::kDeadline) {
         if (gov != nullptr)
-          gov->note_degradation("verif fixpoint cancelled mid-image");
+          gov->note_degradation("verif fixpoint stopped at deadline");
         stop_unconverged();
         break;
-      } catch (const BudgetExceeded& e) {
-        if (e.kind() == BudgetExceeded::Kind::kDeadline) {
-          if (gov != nullptr)
-            gov->note_degradation("verif fixpoint stopped at deadline");
-          stop_unconverged();
-          break;
-        }
-        // Node/byte/allocation pressure: widen under governor suspension
-        // (the recovery itself must not re-trip), reclaim memory, restart
-        // the frontier from the enlarged set.
-        ResourceGovernor::Suspend suspend;
-        ++result.stats.budget_recoveries;
-        if (gov != nullptr)
-          gov->note_degradation("verif image over budget; widening");
-        const bdd::Bdd widened = widen(enc, result.reached);
-        if (widened == result.reached) {
-          // Nothing left to smooth: the abstraction cannot get coarser, so
-          // stop with an honest non-verdict instead of spinning.
-          stop_unconverged();
-          break;
-        }
-        result.reached = widened;
-        frontier = result.reached;
-        result.layers.clear();
-        result.stats.exact = false;
-        ++result.stats.widenings;
-        mgr.garbage_collect();
-        ++result.stats.gc_runs;
-        // The trip may have left worker arenas bloated mid-image; collect
-        // them all before retrying on the widened set.
-        if (par != nullptr)
-          result.stats.worker_gc_runs += par->collect_garbage(1);
-        recovered = true;
       }
-      if (recovered) continue;
-    } else {
-      frontier = step_image(frontier);
-      result.reached = result.reached | frontier;
-    }
-    if (options.keep_layers && !frontier.is_zero())
-      result.layers.push_back(frontier);
-
-    if (options.node_budget > 0 &&
-        mgr.node_count(result.reached) > options.node_budget) {
-      result.reached = widen(enc, result.reached);
+      // Node/byte/allocation pressure: widen under governor suspension
+      // (the recovery itself must not re-trip), reclaim memory, restart
+      // the frontier from the enlarged set.
+      ResourceGovernor::Suspend suspend;
+      ++result.stats.budget_recoveries;
+      if (gov != nullptr)
+        gov->note_degradation("verif image over budget; widening");
+      const bdd::Bdd widened = widen(enc, result.reached);
+      if (widened == result.reached) {
+        // Nothing left to smooth: the abstraction cannot get coarser, so
+        // stop with an honest non-verdict instead of spinning.
+        stop_unconverged();
+        break;
+      }
       // The overapproximated set has no meaningful BFS structure: restart
       // the frontier from the whole set and drop the layers.
+      result.reached = widened;
       frontier = result.reached;
       result.layers.clear();
       result.stats.exact = false;
       ++result.stats.widenings;
+      mgr.garbage_collect();
+      ++result.stats.gc_runs;
+      continue;
     }
+    if (!frontier.is_zero()) result.layers.push_back(frontier);
 
     result.stats.peak_live_nodes =
         std::max(result.stats.peak_live_nodes, mgr.live_node_count());
@@ -246,8 +173,6 @@ ReachResult reachable_states(const TransitionSystem& tr,
       mgr.garbage_collect();
       ++result.stats.gc_runs;
     }
-    if (par != nullptr)
-      result.stats.worker_gc_runs += par->collect_garbage(options.gc_threshold);
     if (layer_span.armed())
       layer_span.arg("reached_nodes", mgr.node_count(result.reached));
 
@@ -273,12 +198,6 @@ ReachResult reachable_states(const TransitionSystem& tr,
       OBS_TICK_EPOCH(obs::Timebase::kLayer, result.stats.iterations);
     }
 #endif
-  }
-
-  if (par != nullptr) {
-    result.stats.shards = par->shards();
-    for (const ParallelImage::WorkerStats& w : par->worker_stats())
-      result.stats.worker_peak_nodes.push_back(w.peak_nodes);
   }
 
   {

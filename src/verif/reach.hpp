@@ -1,8 +1,8 @@
 // BDD reachability fixpoint over the partitioned transition relation:
 // forward image iteration with frontier-vs-accumulated sets, per-iteration
-// telemetry, in-fixpoint garbage collection, and a node budget that degrades
-// gracefully to an overapproximation (existentially smoothing the fattest
-// state bits) instead of failing.
+// telemetry, in-fixpoint garbage collection, and — under the ambient
+// ResourceGovernor's budget — graceful degradation to an overapproximation
+// (existentially smoothing the fattest state bits) instead of failing.
 #pragma once
 
 #include <cstddef>
@@ -15,9 +15,6 @@
 namespace polis::verif {
 
 struct ReachOptions {
-  /// Cap on the node count of the reached set; exceeding it triggers
-  /// widening (overapproximation, `exact` turns false). 0 = unlimited.
-  std::size_t node_budget = 0;
   /// Run BddManager::garbage_collect between iterations once the unique
   /// table holds more than this many nodes. 0 = never collect. The default
   /// is deliberately generous (8 Mi nodes ≈ 128 MiB of arena): every
@@ -26,22 +23,11 @@ struct ReachOptions {
   /// instead of 8 Mi makes the run 4.5× slower. Memory-bounded runs should
   /// cap via the governor's byte budget, not a tight GC threshold.
   std::size_t gc_threshold = std::size_t{8} << 20;
-  /// Image-computation workers. 1 = serial (in the main manager);
-  /// N > 1 shards the transition-relation clusters across N private
-  /// per-thread managers (see ParallelImage) — bit-identical results, the
-  /// partial images are merged deterministically on the main manager.
-  /// 0 = one worker per hardware thread.
-  int num_threads = 1;
-  /// Iteration cap; exceeding it stops with `exact == false`. 0 = none.
-  int max_iterations = 0;
-  /// Keep the BFS onion layers (needed for counterexample extraction).
-  bool keep_layers = true;
   /// Degrade instead of failing when the ambient ResourceGovernor trips
   /// mid-fixpoint: a node/byte/allocation budget hit falls back to widening
-  /// (overapproximation, like `node_budget`); a deadline or cancellation
-  /// stops the iteration with `converged == false` (underapproximation —
-  /// verdicts become kUnknown). When false, governor errors propagate and
-  /// fail the run.
+  /// (overapproximation); a deadline or cancellation stops the iteration
+  /// with `converged == false` (underapproximation — verdicts become
+  /// kUnknown). When false, governor errors propagate and fail the run.
   bool degrade_on_budget = false;
 };
 
@@ -53,23 +39,20 @@ struct ReachStats {
   std::uint64_t gc_runs = 0;        // in-fixpoint garbage collections
   int widenings = 0;                // budget-triggered overapproximations
   int budget_recoveries = 0;        // governor trips recovered by widening
-  int shards = 0;                   // image workers (0 = serial path)
-  /// Per-worker high-water arena sizes (parallel path only; index = shard).
-  std::vector<std::size_t> worker_peak_nodes;
-  std::uint64_t worker_gc_runs = 0;  // collections across worker managers
   bool exact = true;
   /// True iff the fixpoint ran until the frontier emptied. A widened run is
   /// converged-but-inexact: `reached` OVERapproximates, so an empty bad
-  /// intersection still proves safety. A non-converged run (iteration cap,
-  /// deadline, cancellation) leaves an UNDERapproximation — nothing can be
-  /// proved from it, only found (verdicts degrade to kUnknown).
+  /// intersection still proves safety. A non-converged run (deadline,
+  /// cancellation, nothing left to widen) leaves an UNDERapproximation —
+  /// nothing can be proved from it, only found (verdicts degrade to
+  /// kUnknown).
   bool converged = true;
 };
 
 struct ReachResult {
   bdd::Bdd reached;
   /// layers[k] = states first reached after exactly k steps (layers[0] is
-  /// the initial state). Empty when not kept or after widening.
+  /// the initial state). Empty after widening or an unconverged stop.
   std::vector<bdd::Bdd> layers;
   ReachStats stats;
 };

@@ -19,6 +19,16 @@ bdd::Bdd frame_bits(bdd::BddManager& mgr, const std::vector<VarPair>& bits) {
   return frame;
 }
 
+/// Registers the next→present relabel of `modified` on `mgr` and returns
+/// the map id.
+int register_next_to_present(bdd::BddManager& mgr,
+                             const std::vector<VarPair>& modified) {
+  std::vector<std::pair<int, int>> map;
+  map.reserve(modified.size());
+  for (const VarPair& b : modified) map.emplace_back(b.next, b.present);
+  return mgr.register_rename(map);
+}
+
 }  // namespace
 
 TransitionSystem build_transition_system(NetworkEncoding& enc,
@@ -187,14 +197,6 @@ TransitionSystem build_transition_system(NetworkEncoding& enc,
     span.arg("transitions", transitions);
   }
   return tr;
-}
-
-int register_next_to_present(bdd::BddManager& mgr,
-                             const std::vector<VarPair>& modified) {
-  std::vector<std::pair<int, int>> map;
-  map.reserve(modified.size());
-  for (const VarPair& b : modified) map.emplace_back(b.next, b.present);
-  return mgr.register_rename(map);
 }
 
 bdd::Bdd image_one(const TransitionSystem& tr, const Cluster& cluster,

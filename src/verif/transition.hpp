@@ -68,12 +68,6 @@ struct TransitionOptions {
 TransitionSystem build_transition_system(NetworkEncoding& enc,
                                          const TransitionOptions& options = {});
 
-/// Registers the next→present relabel of `modified` on `mgr` and returns
-/// the map id. Used once over every cluster's bits at build time, and by the
-/// parallel reachability engine for each worker manager's cluster copies.
-int register_next_to_present(bdd::BddManager& mgr,
-                             const std::vector<VarPair>& modified);
-
 /// Forward image of `from` under one cluster, over the present variables:
 /// one fused `and_exists_rename` pass that conjoins with the relation,
 /// quantifies the modified present bits and writes each surviving next bit

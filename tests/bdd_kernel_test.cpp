@@ -494,101 +494,10 @@ TEST(BddKernel, CacheStatsAndFreeListRecycling) {
   EXPECT_LE(mgr.arena_size(), arena);
 }
 
-// Cross-manager migration: random DAGs built in one manager must copy into a
-// fresh manager function-identically (truth tables), preserve the
-// complement-edge canonical form, respect complement commutation
-// (copy(!f) == !copy(f)) and round-trip back to yet another manager. Raw
-// handle values are NOT comparable across managers — only evaluation and
-// within-one-manager handle equality are.
-TEST(BddKernel, CopyAcrossRoundTripsRandomDags) {
-  const int n = 8;
-  BddManager src(n), dst(n), back(n);
-  Rng rng(77);
-
-  std::vector<Bdd> pool;
-  for (int v = 0; v < n; ++v) pool.push_back(src.var(v));
-  for (int i = 0; i < 120; ++i) {
-    const auto pick = [&] {
-      return pool[static_cast<size_t>(
-          rng.uniform(0, static_cast<std::int64_t>(pool.size()) - 1))];
-    };
-    Bdd f = src.ite(pick(), pick(), pick());
-    if (rng.flip()) f = !f;
-    pool.push_back(std::move(f));
-  }
-
-  CopyCache fwd, rev;
-  for (const Bdd& f : pool) {
-    const Bdd g = dst.copy_across(f, fwd);
-    EXPECT_EQ(table_of(src, f, n), table_of(dst, g, n));
-    // Complement edges commute with the copy: migrating the negation must
-    // yield exactly the complemented destination handle, not a new node.
-    const Bdd gn = dst.copy_across(!f, fwd);
-    EXPECT_EQ(gn, !g);
-    // Round-trip through a third manager is still the same function.
-    const Bdd h = back.copy_across(g, rev);
-    EXPECT_EQ(table_of(back, h, n), table_of(src, f, n));
-  }
-  // The migrated arena obeys the same regular-then-edge invariant as one
-  // grown natively.
-  EXPECT_TRUE(dst.check_canonical_form());
-  EXPECT_TRUE(back.check_canonical_form());
-  EXPECT_GT(dst.stats().copy_across_calls, 0u);
-  EXPECT_GT(dst.stats().copy_nodes, 0u);
-}
-
-// The translation cache memoises by source node: re-copying a function (or a
-// superset sharing its subgraph) must hit the cache instead of re-walking,
-// and structural changes in the source (GC/prune/reorder bump the structure
-// epoch) or rebinding the cache to a different pair must discard it.
-TEST(BddKernel, CopyAcrossCacheReuseAndInvalidation) {
-  const int n = 10;
-  BddManager src(n), dst(n);
-  Bdd f = src.var(0);
-  for (int v = 1; v < n; ++v)
-    f = (v & 1) ? (f & src.var(v)) : (f ^ src.var(v));
-
-  CopyCache cache;
-  const Bdd g1 = dst.copy_across(f, cache);
-  const std::uint64_t nodes_after_first = dst.stats().copy_nodes;
-  const std::uint64_t hits_after_first = dst.stats().copy_cache_hits;
-  EXPECT_GT(cache.size(), 0u);
-
-  // Second copy of the identical function: pure cache hit, zero new walks.
-  const Bdd g2 = dst.copy_across(f, cache);
-  EXPECT_EQ(g1, g2);  // same manager, so handle equality == function equality
-  EXPECT_EQ(dst.stats().copy_nodes, nodes_after_first);
-  EXPECT_GT(dst.stats().copy_cache_hits, hits_after_first);
-
-  // A superset reuses the shared subgraph through the cache.
-  const Bdd wider = f | (src.var(0) & src.var(1));
-  const std::uint64_t hits_before_wider = dst.stats().copy_cache_hits;
-  dst.copy_across(wider, cache);
-  EXPECT_GT(dst.stats().copy_cache_hits, hits_before_wider);
-
-  // Structural churn in the source invalidates: handles survive the prune
-  // but slot indices may not, so the epoch bump must reset the cache.
-  const std::uint64_t epoch_before = src.structure_epoch();
-  { Bdd dead = f & src.var(2); (void)dead; }
-  src.prune_dead_nodes();
-  EXPECT_GT(src.structure_epoch(), epoch_before);
-  const std::uint64_t resets_before = dst.stats().copy_cache_resets;
-  const Bdd g3 = dst.copy_across(f, cache);
-  EXPECT_EQ(g1, g3);
-  EXPECT_GT(dst.stats().copy_cache_resets, resets_before);
-
-  // Rebinding the same cache object to a different source also resets.
-  BddManager other(n);
-  const Bdd k = other.var(3) & other.var(4);
-  const std::uint64_t resets_before_rebind = dst.stats().copy_cache_resets;
-  dst.copy_across(k, cache);
-  EXPECT_GT(dst.stats().copy_cache_resets, resets_before_rebind);
-}
-
 // rename() is simultaneous substitution: swapping a variable pair in one
 // call must match the truth-table permutation (the sequential compose chain
-// would get pairwise swaps wrong), and renaming across managers composes
-// with copy_across — the reachability engine leans on both.
+// would get pairwise swaps wrong). It is the unfused reference the fused
+// image op is checked against below.
 TEST(BddKernel, RenameIsSimultaneousSubstitution) {
   const int n = 6;
   BddManager mgr(n);

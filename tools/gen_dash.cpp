@@ -1,12 +1,12 @@
 // Emits the RSL source of a generated N-channel dashboard (network
 // `dash_gen`, see systems::generated_dash_source): N independent wheel-speed
 // chains sharing one sampling timer. The family is the scaling axis for the
-// parallel-verification benchmarks — cluster count grows linearly with N,
-// the reachable state space multiplicatively — and the output feeds straight
+// verification benchmarks — cluster count grows linearly with N, the
+// reachable state space multiplicatively — and the output feeds straight
 // back into polisc:
 //
 //   gen_dash 3 > three.rsl
-//   polisc three.rsl --network dash_gen --verify --verify-threads=4
+//   polisc three.rsl --network dash_gen --verify
 #include <cstdlib>
 #include <fstream>
 #include <iostream>

@@ -57,7 +57,6 @@ struct Args {
   bool polling = false;
   bool care = false;
   bool verify = false;
-  long long verify_threads = 1;  // 0 = one worker per hardware thread
   bool opt_copyin = false;
   bool report = false;
   bool dot = false;
@@ -91,11 +90,6 @@ void usage() {
       "                         built-in lost-event property; with --care,\n"
       "                         feed the reached set into synthesis as a\n"
       "                         global don't-care set\n"
-      "  --verify-threads N     image-computation workers for --verify:\n"
-      "                         1 (default) runs serial, N shards the\n"
-      "                         transition relation across N per-thread BDD\n"
-      "                         managers (identical results, see DESIGN.md),\n"
-      "                         0 uses one worker per hardware thread\n"
       "  --opt-copyin           data-flow copy-in optimization (§V-B)\n"
       "  --target T             hc11 (default) | risc32\n"
       "  --policy P             rr (default) | prio\n"
@@ -187,7 +181,6 @@ bool parse_args(int argc, char** argv, Args& args) {
     else if (a == "--polling") { if (!no_value()) return false; args.polling = true; }
     else if (a == "--care") { if (!no_value()) return false; args.care = true; }
     else if (a == "--verify") { if (!no_value()) return false; args.verify = true; }
-    else if (a == "--verify-threads") args.verify_threads = std::stoll(value());
     else if (a == "--opt-copyin") { if (!no_value()) return false; args.opt_copyin = true; }
     else if (a == "--report") { if (!no_value()) return false; args.report = true; }
     else if (a == "--simulate") args.simulate = std::stoll(value());
@@ -220,11 +213,6 @@ bool parse_args(int argc, char** argv, Args& args) {
   if (args.on_budget != "fail" && args.on_budget != "degrade") {
     std::cerr << "polisc: --on-budget must be 'fail' or 'degrade' (got '"
               << args.on_budget << "')\n";
-    return false;
-  }
-  if (args.verify_threads < 0) {
-    std::cerr << "polisc: --verify-threads must be >= 0 (got "
-              << args.verify_threads << ")\n";
     return false;
   }
   if (args.deadline_ms < 0 || args.max_arena_mb < 0) {
@@ -296,11 +284,9 @@ SynthesisResult synthesize_one(std::shared_ptr<const cfsm::Cfsm> machine,
 /// every counterexample. Returns the per-machine care filters (empty unless
 /// the reached set is exact).
 std::map<std::string, cfsm::CareFilter> run_verify(const cfsm::Network& net,
-                                                   OnBudget on_budget,
-                                                   int verify_threads) {
+                                                   OnBudget on_budget) {
   verif::VerifyOptions options;
   options.reach.degrade_on_budget = on_budget == OnBudget::kDegrade;
-  options.reach.num_threads = verify_threads;
   const verif::VerifyResult v = verif::verify_network(net, options);
   std::cout << "verify: " << v.reach.reached_states << " reachable states in "
             << v.reach.iterations << " iterations ("
@@ -310,10 +296,7 @@ std::map<std::string, cfsm::CareFilter> run_verify(const cfsm::Network& net,
             << "), "
             << v.clusters << " clusters / " << v.transitions
             << " transitions, peak " << v.reach.peak_live_nodes
-            << " live nodes";
-  if (v.reach.shards > 0)
-    std::cout << ", " << v.reach.shards << " image shards";
-  std::cout << "\n";
+            << " live nodes\n";
   for (const verif::CheckResult& r : v.assertions) {
     std::cout << "  assert " << r.property.name;
     if (r.property.line > 0) std::cout << " (line " << r.property.line << ")";
@@ -450,8 +433,7 @@ int run(const Args& args) {
 
     std::map<std::string, cfsm::CareFilter> care_filters;
     if (args.verify)
-      care_filters = run_verify(net, budget_mode(args),
-                                static_cast<int>(args.verify_threads));
+      care_filters = run_verify(net, budget_mode(args));
 
     rtos::RtosConfig config;
     if (args.policy == "prio")
